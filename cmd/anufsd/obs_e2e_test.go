@@ -54,8 +54,8 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 // TestObservabilityEndToEnd scrapes a real daemon over HTTP and the wire:
 // drive load through a TCP client, require /metrics to expose per-op
-// latency histograms and journal counters, /debug/pprof/ to answer, a full
-// request trace (wire → queue → apply → journal fsync) to be retrievable,
+// latency histograms and journal counters, /debug/pprof/ to answer, a sync
+// request's trace (wire → journal commit wait → fsync) to be retrievable,
 // and the tuner decision log to contain structured events — then SIGKILL
 // the daemon, as a crash-test client would.
 func TestObservabilityEndToEnd(t *testing.T) {
@@ -88,7 +88,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Durability barrier under a known trace: the sync flushes dirty file
-	// sets through the journal, so its trace crosses every layer.
+	// sets through the journal, so its trace runs from the wire handler to
+	// the fsync. Checkpoints run off the owner queue, so the trace has no
+	// queue-wait or apply span.
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +106,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, sp := range spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"wire", "queue-wait", "apply", "journal-commit-wait", "fsync"} {
+	for _, want := range []string{"wire", "journal-commit-wait", "fsync"} {
 		if !names[want] {
 			t.Fatalf("sync trace %d missing %q span; spans: %+v", trace, want, spans)
+		}
+	}
+	for _, unwanted := range []string{"queue-wait", "apply"} {
+		if names[unwanted] {
+			t.Fatalf("sync trace %d has a %q span: checkpoints must not ride the owner queue; spans: %+v", trace, unwanted, spans)
 		}
 	}
 

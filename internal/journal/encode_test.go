@@ -45,12 +45,14 @@ func TestAppendEntryFrameMatchesTwoPass(t *testing.T) {
 }
 
 // TestAppendEntryFrameAllocFree is the journal half of the hot-path
-// allocation contract: encoding into a warmed buffer allocates nothing.
+// allocation contract: encoding into a warmed buffer and path scratch —
+// what a pooled append request holds — allocates nothing.
 func TestAppendEntryFrameAllocFree(t *testing.T) {
 	e := benchEntry()
 	var buf []byte
+	var keys []string
 	if n := testing.AllocsPerRun(100, func() {
-		buf = appendEntryFrame(buf[:0], e)
+		buf, keys = appendEntryFrameKeys(buf[:0], keys, e)
 	}); n != 0 {
 		t.Errorf("appendEntryFrame: %v allocs/op, want 0", n)
 	}
@@ -61,8 +63,9 @@ func TestAppendEntryFrameAllocFree(t *testing.T) {
 func BenchmarkEncodeEntryFrame(b *testing.B) {
 	e := benchEntry()
 	var buf []byte
+	var keys []string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendEntryFrame(buf[:0], e)
+		buf, keys = appendEntryFrameKeys(buf[:0], keys, e)
 	}
 }

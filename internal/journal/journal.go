@@ -178,7 +178,10 @@ func (j *Journal) TraceOf(seq uint64) uint64 {
 
 type appendReq struct {
 	frame []byte
-	done  chan error
+	// keys is the path-sorting scratch the canonical image encoding
+	// reuses, pooled with the frame.
+	keys []string
+	done chan error
 	// trace is the client request trace ID that triggered this append (0 =
 	// untraced); enq timestamps the hand-off to the committer so the
 	// group-commit wait is measurable.
@@ -286,7 +289,8 @@ var appendReqPool = sync.Pool{
 //anufs:hotpath
 func (j *Journal) append(trace uint64, e Entry) error {
 	r := appendReqPool.Get().(*appendReq)
-	r.frame = appendEntryFrame(r.frame[:0], e)
+	r.frame, r.keys = appendEntryFrameKeys(r.frame[:0], r.keys, e)
+	clear(r.keys) // a pooled request must not pin the image's paths
 	r.trace = trace
 	r.enq = time.Now()
 	r.seq = 0

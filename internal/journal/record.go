@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"anufs/internal/sharedisk"
@@ -85,33 +86,47 @@ func nextFrame(data []byte) (payload []byte, n int, ok bool) {
 }
 
 // appendEntry serializes an entry payload (no frame header) onto dst.
-func appendEntry(dst []byte, e Entry) []byte {
+// keys is scratch for the image's sorted paths; it is returned, possibly
+// grown, for reuse.
+func appendEntry(dst []byte, keys []string, e Entry) ([]byte, []string) {
 	dst = append(dst, byte(e.Kind))
 	dst = appendString(dst, e.FileSet)
 	if e.Kind == KindFlush {
-		dst = appendImage(dst, e.Image)
+		dst, keys = appendImage(dst, keys, e.Image)
 	}
-	return dst
+	return dst, keys
 }
 
 // encodeEntry serializes an entry payload into a fresh buffer.
-func encodeEntry(e Entry) []byte { return appendEntry(nil, e) }
+func encodeEntry(e Entry) []byte {
+	payload, _ := appendEntry(nil, nil, e)
+	return payload
+}
 
-// appendEntryFrame appends e as one complete framed record onto dst: the
-// 8-byte header slot is reserved up front, the payload is encoded in
+// appendEntryFrame appends e as one complete framed record onto dst,
+// with fresh path scratch; the append path uses appendEntryFrameKeys with
+// the scratch its pooled request keeps.
+func appendEntryFrame(dst []byte, e Entry) []byte {
+	dst, _ = appendEntryFrameKeys(dst, nil, e)
+	return dst
+}
+
+// appendEntryFrameKeys appends e as one complete framed record onto dst:
+// the 8-byte header slot is reserved up front, the payload is encoded in
 // place, and length+CRC are backfilled — one pass, no intermediate
-// payload buffer, so a pooled dst makes the append path allocation-free.
+// payload buffer. keys is the path-sorting scratch (returned for reuse),
+// so a pooled dst and keys make the append path allocation-free.
 //
 //anufs:hotpath
-func appendEntryFrame(dst []byte, e Entry) []byte {
+func appendEntryFrameKeys(dst []byte, keys []string, e Entry) ([]byte, []string) {
 	hdrOff := len(dst)
 	var hdr [frameHeaderLen]byte
 	dst = append(dst, hdr[:]...)
-	dst = appendEntry(dst, e)
+	dst, keys = appendEntry(dst, keys, e)
 	payload := dst[hdrOff+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[hdrOff:hdrOff+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[hdrOff+4:hdrOff+8], crc32.ChecksumIEEE(payload))
-	return dst
+	return dst, keys
 }
 
 // decodeEntry parses an entry payload. It never panics: any malformed input
@@ -142,12 +157,20 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // appendImage serializes an image: version, record count, then each record
-// as path, size, mode, mod time (zero flagged explicitly — the zero
-// time.Time has no representable UnixNano), owner.
-func appendImage(dst []byte, im sharedisk.Image) []byte {
+// in path order as path, size, mode, mod time (zero flagged explicitly —
+// the zero time.Time has no representable UnixNano), owner. Path order
+// makes the encoding canonical: equal images give equal bytes. keys is
+// scratch for the sorted paths, returned for reuse.
+func appendImage(dst []byte, keys []string, im sharedisk.Image) ([]byte, []string) {
 	dst = binary.AppendUvarint(dst, im.Version)
 	dst = binary.AppendUvarint(dst, uint64(len(im.Records)))
-	for path, rec := range im.Records {
+	keys = keys[:0]
+	for path := range im.Records {
+		keys = append(keys, path)
+	}
+	slices.Sort(keys)
+	for _, path := range keys {
+		rec := im.Records[path]
 		dst = appendString(dst, path)
 		dst = binary.AppendVarint(dst, rec.Size)
 		dst = binary.AppendUvarint(dst, uint64(rec.Mode))
@@ -159,7 +182,7 @@ func appendImage(dst []byte, im sharedisk.Image) []byte {
 		}
 		dst = appendString(dst, rec.Owner)
 	}
-	return dst
+	return dst, keys
 }
 
 // cursor is a bounds-checked little decoder: the first failure latches in

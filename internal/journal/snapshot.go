@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"anufs/internal/sharedisk"
 )
@@ -112,12 +113,19 @@ func writeSnapshot(dir string, seq uint64, images map[string]sharedisk.Image) er
 	return syncDir(dir)
 }
 
-// encodeImages serializes a full store cut.
+// encodeImages serializes a full store cut, file sets in name order (and
+// each image's records in path order), so equal cuts give equal bytes.
 func encodeImages(images map[string]sharedisk.Image) []byte {
+	names := make([]string, 0, len(images))
+	for fs := range images {
+		names = append(names, fs)
+	}
+	slices.Sort(names)
 	buf := binary.AppendUvarint(nil, uint64(len(images)))
-	for fs, im := range images {
+	var keys []string
+	for _, fs := range names {
 		buf = appendString(buf, fs)
-		buf = appendImage(buf, im)
+		buf, keys = appendImage(buf, keys, images[fs])
 	}
 	return buf
 }

@@ -413,30 +413,6 @@ func (c *Cluster) gauges() []obs.Gauge {
 	return out
 }
 
-// routeOnce submits one operation to the current owner of the file set.
-func (c *Cluster) routeOnce(trace uint64, op, fileSet string, fn func(*server) error) (taskResult, error) {
-	snap := c.snapshot.Load().(*core.Mapper)
-	owner := snap.Owner(fileSet)
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return taskResult{}, ErrStopped
-	}
-	srv, ok := c.servers[owner]
-	if !ok {
-		c.mu.Unlock()
-		return taskResult{err: metaserver.ErrNotOwner}, nil
-	}
-	c.submitters.Add(1)
-	c.mu.Unlock()
-	defer c.submitters.Done()
-	t := task{fn: fn, enq: time.Now(), reply: make(chan taskResult, 1), trace: trace, op: op, fileSet: fileSet}
-	if err := srv.q.push(t); err != nil {
-		return taskResult{}, err
-	}
-	return <-t.reply, nil
-}
-
 // do routes an operation to the file set's owner, retrying while the file
 // set is mid-move (the new owner has not finished acquiring it yet) — the
 // client-visible cost of a move, which the paper bounds at 5–10 s.
@@ -445,20 +421,32 @@ func (c *Cluster) do(fileSet string, fn func(*server) error) error {
 }
 
 // doT is do carrying trace annotations: trace is the request trace ID (0 =
-// untraced) and op names the operation for span labels.
+// untraced) and op names the operation for span labels. fn runs as a task
+// on the owner's queue.
 func (c *Cluster) doT(trace uint64, op, fileSet string, fn func(*server) error) error {
+	return c.withOwner(fileSet, func(srv *server) error {
+		t := task{fn: fn, enq: time.Now(), reply: make(chan taskResult, 1), trace: trace, op: op, fileSet: fileSet}
+		if err := srv.q.push(t); err != nil {
+			return err
+		}
+		return (<-t.reply).err
+	})
+}
+
+// withOwner runs call against the file set's current owner, retrying
+// through ErrNotOwner with backoff until the retry budget runs out or the
+// cluster stops. call runs on the caller's goroutine; doT's call queues a
+// task, a checkpoint's call flushes inline.
+func (c *Cluster) withOwner(fileSet string, call func(*server) error) error {
 	deadline := time.Now().Add(c.cfg.RetryBudget)
 	backoff := time.Millisecond
 	for {
-		res, err := c.routeOnce(trace, op, fileSet, fn)
-		if err != nil {
+		err := c.callOwnerOnce(fileSet, call)
+		if !errors.Is(err, metaserver.ErrNotOwner) {
 			return err
 		}
-		if !errors.Is(res.err, metaserver.ErrNotOwner) {
-			return res.err
-		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("live: file set %q unavailable past retry budget: %w", fileSet, res.err)
+			return fmt.Errorf("live: file set %q unavailable past retry budget: %w", fileSet, err)
 		}
 		select {
 		case <-time.After(backoff):
@@ -469,6 +457,27 @@ func (c *Cluster) doT(trace uint64, op, fileSet string, fn func(*server) error) 
 			backoff *= 2
 		}
 	}
+}
+
+// callOwnerOnce resolves the file set's owner from the published mapping
+// and runs call against it once, counted in submitters so Stop waits for
+// it.
+func (c *Cluster) callOwnerOnce(fileSet string, call func(*server) error) error {
+	owner := c.snapshot.Load().(*core.Mapper).Owner(fileSet)
+	c.mu.Lock()
+	if c.stopped {
+		c.mu.Unlock()
+		return ErrStopped
+	}
+	srv, ok := c.servers[owner]
+	if !ok {
+		c.mu.Unlock()
+		return metaserver.ErrNotOwner
+	}
+	c.submitters.Add(1)
+	c.mu.Unlock()
+	defer c.submitters.Done()
+	return call(srv)
 }
 
 // Create adds a metadata record.
@@ -509,10 +518,12 @@ func (c *Cluster) List(fileSet, prefix string) ([]string, error) {
 }
 
 // Checkpoint flushes one file set's dirty state to shared disk without
-// releasing ownership, through the owner's queue (so it serializes with
-// that server's metadata operations and release-time flushes).
+// releasing ownership. It runs on the caller's goroutine against the
+// owner's metaserver, not through the owner's queue: while it waits for
+// the journal, the owner keeps serving its other operations, and
+// concurrent checkpoints reach the journal together and share its fsync.
 func (c *Cluster) Checkpoint(fileSet string) error {
-	return c.do(fileSet, func(s *server) error { return s.ms.Checkpoint(fileSet) })
+	return c.WithTrace(0).Checkpoint(fileSet)
 }
 
 // CheckpointAll checkpoints every file set — the durability barrier behind
@@ -520,13 +531,7 @@ func (c *Cluster) Checkpoint(fileSet string) error {
 // before the call is on shared disk (and, with a Durable store, in the
 // journal). Clean file sets are no-ops.
 func (c *Cluster) CheckpointAll() error {
-	var firstErr error
-	for _, fs := range c.disk.FileSets() {
-		if err := c.Checkpoint(fs); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return c.WithTrace(0).CheckpointAll()
 }
 
 // Traced is a view of the cluster whose operations are attributed to one
@@ -583,21 +588,37 @@ func (v Traced) List(fileSet, prefix string) ([]string, error) {
 // journaled under the trace ID, so the request's span timeline includes the
 // group-commit wait and fsync it rode.
 func (v Traced) Checkpoint(fileSet string) error {
-	trace := v.trace
-	return v.c.doT(trace, "checkpoint", fileSet, func(s *server) error {
-		return s.ms.CheckpointTraced(trace, fileSet)
+	return v.c.withOwner(fileSet, func(s *server) error {
+		return s.ms.CheckpointTraced(v.trace, fileSet)
 	})
+}
+
+// CheckpointEach checkpoints the file sets concurrently and returns their
+// errors index-aligned with fileSets: the flushes reach the journal
+// together, so they share a group commit instead of each paying its own
+// gather window and fsync.
+func (v Traced) CheckpointEach(fileSets []string) []error {
+	errs := make([]error, len(fileSets))
+	var wg sync.WaitGroup
+	for i, fs := range fileSets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = v.Checkpoint(fs)
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // CheckpointAll is Cluster.CheckpointAll under the view's trace.
 func (v Traced) CheckpointAll() error {
-	var firstErr error
-	for _, fs := range v.c.disk.FileSets() {
-		if err := v.Checkpoint(fs); err != nil && firstErr == nil {
-			firstErr = err
+	for _, err := range v.CheckpointEach(v.c.disk.FileSets()) {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // Owner reports which server currently serves the file set.

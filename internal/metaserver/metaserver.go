@@ -29,6 +29,12 @@ var ErrNotFound = errors.New("metaserver: no such path")
 // ErrExists is returned when creating a path that already exists.
 var ErrExists = errors.New("metaserver: path exists")
 
+// ErrCrashed is returned to a checkpoint whose writes were dropped by a
+// server crash before any flush covered them. It is not ErrNotOwner on
+// purpose: retrying against the next owner would acknowledge writes that
+// are gone.
+var ErrCrashed = errors.New("metaserver: server crashed before the checkpoint was durable")
+
 // Server is one metadata server. Safe for concurrent use.
 type Server struct {
 	id   int
@@ -40,11 +46,25 @@ type Server struct {
 	// DirtyFlushes counts flushes performed on release — observability for
 	// the cache-preservation claims.
 	dirtyFlushes int
+	// flushWaits counts the times a checkpoint or release waited for a
+	// flush of the same file set already in flight instead of starting
+	// its own.
+	flushWaits int
 }
 
+// fileSetState is one owned file set. Every mutation bumps gen; a flush
+// that captured the image at gen g sets flushedGen to g once it is on
+// disk, so gen > flushedGen means dirty. At most one flush of a file set
+// is in flight at a time: flushing is non-nil (and closed when it ends)
+// while one is, and every other checkpoint of that file set waits for it
+// instead of flushing beside it.
 type fileSetState struct {
-	image sharedisk.Image
-	dirty bool
+	image      sharedisk.Image
+	gen        uint64
+	flushedGen uint64
+	flushing   chan struct{}
+	// crashed marks state dropped by Crash: its unflushed writes are gone.
+	crashed bool
 }
 
 // New creates a metadata server bound to the shared disk (the in-memory
@@ -83,6 +103,14 @@ func (s *Server) DirtyFlushes() int {
 	return s.dirtyFlushes
 }
 
+// FlushWaits reports how many times a checkpoint or release waited for
+// another caller's in-flight flush of the same file set.
+func (s *Server) FlushWaits() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flushWaits
+}
+
 // Acquire loads the file set's image from shared disk and begins serving
 // it. Acquiring an already-owned file set is an error — it would indicate
 // the placement layer double-assigned it.
@@ -100,29 +128,23 @@ func (s *Server) Acquire(fileSet string) error {
 	return nil
 }
 
-// Release flushes the file set if dirty and stops serving it — the shedding
-// half of a move (paper §4: "the shedding server flushes its cache with
-// respect to shed file sets to create a consistent disk image").
+// Release stops serving the file set and flushes what is dirty — the
+// shedding half of a move (paper §4: "the shedding server flushes its
+// cache with respect to shed file sets to create a consistent disk
+// image"). Ownership goes first, so no write lands after the final flush;
+// a checkpoint flush already in flight is waited for, not raced.
 func (s *Server) Release(fileSet string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, ok := s.owned[fileSet]
 	if !ok {
-		s.mu.Unlock()
 		return ErrNotOwner
 	}
 	delete(s.owned, fileSet)
-	dirty := st.dirty
-	im := st.image
-	if dirty {
+	if st.gen > st.flushedGen {
 		s.dirtyFlushes++
 	}
-	s.mu.Unlock()
-	if dirty {
-		if _, err := s.disk.Flush(fileSet, im); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.flushLocked(0, fileSet, st, true)
 }
 
 // Crash drops all owned file sets WITHOUT flushing — a server failure. The
@@ -131,6 +153,9 @@ func (s *Server) Release(fileSet string) error {
 func (s *Server) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, st := range s.owned {
+		st.crashed = true
+	}
 	s.owned = map[string]*fileSetState{}
 }
 
@@ -149,36 +174,68 @@ type tracedFlusher interface {
 // CheckpointTraced is Checkpoint attributed to a request trace (0 =
 // untraced): a durable disk journals the flush under that trace so the
 // fsync it waits on appears in the request's timeline.
+//
+// It runs on the caller's goroutine and returns once every write applied
+// before the call is on disk. Concurrent checkpoints of one file set fold
+// into as few image writes as the writes between them allow: a caller
+// that finds a flush in flight waits for it, and leads the next flush
+// only if that one did not cover its writes.
 func (s *Server) CheckpointTraced(trace uint64, fileSet string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st, ok := s.owned[fileSet]
 	if !ok {
-		s.mu.Unlock()
 		return ErrNotOwner
 	}
-	if !st.dirty {
+	return s.flushLocked(trace, fileSet, st, false)
+}
+
+// flushLocked returns once every write st holds at the call is on disk.
+// Called and returns with s.mu held; drops it while waiting and while
+// flushing. Only the releaser may lead a flush of state the server no
+// longer owns — any other caller then gets ErrNotOwner (the releaser's
+// flush covers its writes, and the next owner loads them) or, after a
+// crash, ErrCrashed.
+func (s *Server) flushLocked(trace uint64, fileSet string, st *fileSetState, releasing bool) error {
+	target := st.gen
+	for st.flushedGen < target {
+		if ch := st.flushing; ch != nil {
+			s.flushWaits++
+			s.mu.Unlock()
+			<-ch
+			s.mu.Lock()
+			continue
+		}
+		if st.crashed {
+			return ErrCrashed
+		}
+		if !releasing && s.owned[fileSet] != st {
+			return ErrNotOwner
+		}
+		ch := make(chan struct{})
+		st.flushing = ch
+		gen, im := st.gen, st.clone()
 		s.mu.Unlock()
-		return nil
-	}
-	im := st.clone()
-	s.mu.Unlock()
-	var newV uint64
-	var err error
-	if tf, ok := s.disk.(tracedFlusher); ok && trace != 0 {
-		newV, err = tf.FlushTraced(trace, fileSet, im)
-	} else {
-		newV, err = s.disk.Flush(fileSet, im)
-	}
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st2, ok := s.owned[fileSet]; ok && st2 == st {
+		newV, err := s.flush(trace, fileSet, im)
+		s.mu.Lock()
+		st.flushing = nil
+		close(ch)
+		if err != nil {
+			return err
+		}
 		st.image.Version = newV
-		st.dirty = false
+		st.flushedGen = gen
 	}
 	return nil
+}
+
+// flush writes one image to the disk, under the request trace when the
+// disk can attribute it.
+func (s *Server) flush(trace uint64, fileSet string, im sharedisk.Image) (uint64, error) {
+	if tf, ok := s.disk.(tracedFlusher); ok && trace != 0 {
+		return tf.FlushTraced(trace, fileSet, im)
+	}
+	return s.disk.Flush(fileSet, im)
 }
 
 func (f *fileSetState) clone() sharedisk.Image {
@@ -213,7 +270,7 @@ func (s *Server) Create(fileSet, path string, rec sharedisk.Record) error {
 			rec.ModTime = time.Now()
 		}
 		st.image.Records[path] = rec
-		st.dirty = true
+		st.gen++
 		return nil
 	})
 }
@@ -239,7 +296,7 @@ func (s *Server) Update(fileSet, path string, rec sharedisk.Record) error {
 			return ErrNotFound
 		}
 		st.image.Records[path] = rec
-		st.dirty = true
+		st.gen++
 		return nil
 	})
 }
@@ -251,7 +308,7 @@ func (s *Server) Remove(fileSet, path string) error {
 			return ErrNotFound
 		}
 		delete(st.image.Records, path)
-		st.dirty = true
+		st.gen++
 		return nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,7 +45,11 @@ type Pool struct {
 	filled  []bool // slot has held a connection before (dials after it are redials)
 	back    []*wire.Backoff
 	next    []time.Time // earliest redial per slot
-	closed  bool
+	// dialed is closed (and replaced) whenever a slot dial finishes, so
+	// callers that found nothing live but a dial in flight can wait for
+	// it instead of failing.
+	dialed chan struct{}
+	closed bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -62,6 +67,7 @@ func NewPool(addr string, opts Options) *Pool {
 		filled:  make([]bool, opts.PoolSize),
 		back:    make([]*wire.Backoff, opts.PoolSize),
 		next:    make([]time.Time, opts.PoolSize),
+		dialed:  make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	for i := range p.back {
@@ -151,7 +157,9 @@ func (p *Pool) pick(now time.Time) (*Conn, int) {
 
 // get returns a connection, dialing an empty slot when picking asks for
 // one. A failed dial backs its slot off and falls through to whatever is
-// live; a pool with nothing live and nothing due errors with errNoConn.
+// live. A caller that finds nothing live while another caller's dial is
+// in flight waits for that dial; a pool with nothing live, dialing or due
+// errors with errNoConn.
 func (p *Pool) get() (*Conn, error) {
 	for {
 		p.mu.Lock()
@@ -165,8 +173,17 @@ func (p *Pool) get() (*Conn, error) {
 			return c, nil
 		}
 		if slot < 0 {
+			if !slices.Contains(p.dialing, true) {
+				p.mu.Unlock()
+				return nil, errNoConn
+			}
+			dialed := p.dialed
 			p.mu.Unlock()
-			return nil, errNoConn
+			select {
+			case <-dialed:
+			case <-p.stop:
+			}
+			continue
 		}
 		p.dialing[slot] = true
 		p.mu.Unlock()
@@ -195,6 +212,8 @@ func (p *Pool) dialSlot(slot int) *Conn {
 	}
 	p.mu.Lock()
 	p.dialing[slot] = false
+	close(p.dialed)
+	p.dialed = make(chan struct{})
 	if err != nil {
 		p.next[slot] = time.Now().Add(p.back[slot].Next())
 		p.mu.Unlock()

@@ -1,6 +1,10 @@
 package sdk
 
 import (
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +25,84 @@ func TestPoolRampsToFullSize(t *testing.T) {
 	if got := p.Live(); got != 3 {
 		t.Fatalf("live connections = %d after 3 calls, want 3", got)
 	}
+}
+
+// Concurrent first calls on a fresh one-slot pool wait for the one dial
+// in flight instead of failing with errNoConn (which the fleet router
+// would answer by dropping the pool under the calls already riding it).
+func TestPoolConcurrentFirstCallsShareOneDial(t *testing.T) {
+	f := startFleet(t, 1)
+	proxy, accepts := countingProxy(t, f.daemons[0].addr)
+	p := NewPool(proxy, Options{PoolSize: 1, Timeout: 5 * time.Second, HealthInterval: -1})
+	defer p.Close()
+	const callers = 32
+	start := make(chan struct{})
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- p.Ping()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent first call failed: %v", err)
+		}
+	}
+	if got := accepts.Load(); got != 1 {
+		t.Fatalf("pool dialed %d times, want 1", got)
+	}
+	if got := p.Live(); got != 1 {
+		t.Fatalf("live connections = %d, want 1", got)
+	}
+}
+
+// countingProxy forwards TCP connections to addr and counts how many it
+// accepted.
+func countingProxy(t *testing.T, addr string) (string, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			out, err := net.Dial("tcp", addr)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			wg.Add(2)
+			pipe := func(dst, src net.Conn) {
+				defer wg.Done()
+				io.Copy(dst, src)
+				dst.Close()
+				src.Close()
+			}
+			go pipe(out, in)
+			go pipe(in, out)
+		}
+	}()
+	return ln.Addr().String(), &accepts
 }
 
 // A pool to an unreachable address errors calls (after the slots back

@@ -561,10 +561,13 @@ func (s *Server) handle(trace uint64, req Request) Response {
 
 // handleBatch serves OpBatch: validate, gate every touched file set (in
 // fleet mode), then apply each file set's items as ONE owner-queue task —
-// the server-side half of client batching. Admission is all-or-nothing: a
-// single wrong-owner file set rejects the whole batch before anything is
-// applied, so the client retries the batch intact after a map refetch and
-// no partially-admitted batch can be acknowledged.
+// the server-side half of client batching. A durable batch then
+// checkpoints the touched file sets, still inside the gates, so a handoff
+// cannot release a file set between the apply and its flush. Admission
+// is all-or-nothing: a single wrong-owner file set rejects the whole
+// batch before anything is applied, so the client retries the batch
+// intact after a map refetch and no partially-admitted batch can be
+// acknowledged.
 func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Response {
 	resp := Response{ID: req.ID}
 	fail := func(err error) Response {
@@ -647,11 +650,13 @@ func (s *Server) handleBatch(trace uint64, fleet FleetHandler, req Request) Resp
 		}
 	}
 	if req.Durable {
-		// One checkpoint per touched file set: concurrent batches fold
-		// into the journal's group commit, so N batches cost ~1 fsync.
-		for _, fs := range order {
-			if err := v.Checkpoint(fs); err != nil {
-				return fail(fmt.Errorf("wire: batch checkpoint of %q: %w", fs, err))
+		// One checkpoint per touched file set, all started before any is
+		// waited for: they run off the owner queue and reach the journal
+		// together, so the batch waits for one group commit, not one per
+		// file set (checkpoints of other batches share it too).
+		for i, err := range v.CheckpointEach(order) {
+			if err != nil {
+				return fail(fmt.Errorf("wire: batch checkpoint of %q: %w", order[i], err))
 			}
 		}
 	}
