@@ -2,8 +2,9 @@
 // fleet daemon: ops/sec and p99 latency versus client count, for three
 // transports over the same server —
 //
-//	blocking   one line-mode connection, one request per round trip
-//	           (every client serializes behind a mutex: the pre-sdk shape)
+//	blocking   one wire.Client connection used serially, one request per
+//	           round trip (every client serializes behind a mutex: the
+//	           pre-sdk shape)
 //	pipelined  the sdk's pooled, tagged-frame connections (many in-flight
 //	           requests, out-of-order completion)
 //	batched    pipelined plus client-side op coalescing (many small writes

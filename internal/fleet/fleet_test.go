@@ -37,6 +37,15 @@ func testDial(addr string) (*wire.Client, error) {
 	return c, nil
 }
 
+// testCallerDial is testDial typed for RouterConfig.Dial.
+func testCallerDial(addr string) (Caller, error) {
+	c, err := testDial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // startFleet launches n single-server daemons over loopback with the given
 // per-daemon speeds (len == n). Background tuning is disabled so file sets
 // only move when the fleet moves them.
@@ -109,7 +118,7 @@ func (f *testFleet) router(t testing.TB) *Router {
 	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        5 * time.Second,
-		Dial:          testDial,
+		Dial:          testCallerDial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +320,7 @@ func TestStaleRouterRetriesOncePerRefetch(t *testing.T) {
 	short, err := NewRouter(RouterConfig{
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        300 * time.Millisecond,
-		Dial:          testDial,
+		Dial:          testCallerDial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -456,7 +456,7 @@ func TestFailoverReplaysJournal(t *testing.T) {
 	r, err := NewRouter(RouterConfig{
 		AuthorityAddr: d0.addr,
 		Budget:        5 * time.Second,
-		Dial:          testDial,
+		Dial:          testCallerDial,
 	})
 	if err != nil {
 		t.Fatal(err)

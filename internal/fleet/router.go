@@ -35,13 +35,10 @@ type RouterConfig struct {
 	Budget time.Duration
 	// Obs receives per-daemon route counters; nil disables.
 	Obs *obs.Registry
-	// Dial overrides outbound connections; nil uses wire.Dial. Ignored
-	// when DialCaller is set.
-	Dial func(addr string) (*wire.Client, error)
-	// DialCaller overrides outbound connections with an arbitrary Caller —
-	// the sdk plugs pipelined connection pools in here. Takes precedence
-	// over Dial.
-	DialCaller func(addr string) (Caller, error)
+	// Dial opens outbound connections (map fetches and routed ops); nil
+	// dials a wire.Client bounded by wire.DefaultCallTimeout. The sdk
+	// plugs pipelined connection pools in here.
+	Dial func(addr string) (Caller, error)
 }
 
 // Router is the fleet's client side: it caches the cluster map, routes
@@ -69,13 +66,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = DefaultRouteBudget
 	}
-	if cfg.DialCaller == nil {
-		dial := cfg.Dial
-		if dial == nil {
-			dial = wire.Dial
-		}
-		cfg.DialCaller = func(addr string) (Caller, error) {
-			c, err := dial(addr)
+	if cfg.Dial == nil {
+		cfg.Dial = func(addr string) (Caller, error) {
+			c, err := wire.DialTimeout(addr, wire.DefaultCallTimeout)
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +83,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if r.maps == nil {
 		sources := append(append([]string{}, cfg.MapSources...), cfg.AuthorityAddr)
-		r.maps = NewMapCache(sources, cfg.DialCaller, r.counters)
+		r.maps = NewMapCache(sources, cfg.Dial, r.counters)
 		r.ownsMaps = true
 	}
 	if cfg.Obs != nil {
@@ -151,7 +144,7 @@ func (r *Router) Caller(addr string) (Caller, error) {
 		return c, nil
 	}
 	r.mu.Unlock()
-	c, err := r.cfg.DialCaller(addr)
+	c, err := r.cfg.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +310,7 @@ func sleepUntil(d time.Duration, deadline time.Time) bool {
 // --- typed convenience methods -------------------------------------------
 
 // The typed methods speak raw wire requests through the Caller interface,
-// so they work identically over a line-mode wire.Client and the sdk's
-// pipelined pools.
+// so they work identically over one wire.Client and the sdk's pools.
 
 // CallAuthority sends one request to the fleet authority, preferring the
 // daemon the current map advertises (which survives a standby promotion —

@@ -22,7 +22,7 @@ func TestForwardTracePropagationAndPull(t *testing.T) {
 		AuthorityAddr: f.daemons[0].addr,
 		Budget:        5 * time.Second,
 		Obs:           reg,
-		Dial:          testDial,
+		Dial:          testCallerDial,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,16 +50,23 @@ func (j *Journal) Snapshot(images func() map[string]sharedisk.Image) error {
 	return j.compact(seq, activeName)
 }
 
-// compact removes everything the snapshot at seq supersedes: all non-active
-// segments and all snapshots below seq.
+// compact removes everything the snapshot at seq supersedes: the segments
+// older than activeName (the segment the snapshot rotated to, which starts
+// after seq) and all snapshots below seq. Segments from activeName on stay:
+// appends keep running while the snapshot is written, so a size rotation
+// may already have opened a newer segment holding entries past seq.
 func (j *Journal) compact(seq uint64, activeName string) error {
 	segs, err := filepath.Glob(filepath.Join(j.dir, "wal-*.log"))
 	if err != nil {
 		return err
 	}
+	activeStart, ok := seqFromName(filepath.Base(activeName), "wal-", ".log")
+	if !ok {
+		return fmt.Errorf("journal: unexpected active segment name %q", activeName)
+	}
 	removed := 0
 	for _, p := range segs {
-		if p == activeName {
+		if start, ok := seqFromName(filepath.Base(p), "wal-", ".log"); !ok || start >= activeStart {
 			continue
 		}
 		if err := os.Remove(p); err != nil {

@@ -196,9 +196,16 @@ type Cluster struct {
 	// snapshot holds an immutable *core.Mapper for lock-free routing.
 	snapshot atomic.Value
 
-	mu       sync.Mutex
-	mapper   *core.Mapper // authoritative; mutated under mu
-	delegate *core.Delegate
+	// reconfigMu serializes reconfigurations — tune rounds, commissions,
+	// kills — end to end, move protocol included. Two overlapping rounds
+	// would interleave their release/acquire steps: a file set moved A→B
+	// by one and B→A by the other can end up held by B while the
+	// published mapping routes it to A, which then answers ErrNotOwner
+	// until some later round happens to move it again.
+	reconfigMu sync.Mutex
+	mu         sync.Mutex
+	mapper     *core.Mapper // authoritative; mutated under mu
+	delegate   *core.Delegate
 	// elector picks which server is the delegate (paper §4). In this
 	// in-process cluster every live server heartbeats implicitly at each
 	// tuning round; the epoch detects failovers so divergent-tuning state
@@ -708,6 +715,8 @@ func (c *Cluster) tuneLoop() {
 // TuneOnce runs a single delegate round immediately (also used by tests to
 // make tuning deterministic).
 func (c *Cluster) TuneOnce() {
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -799,6 +808,8 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 	if speed <= 0 {
 		return fmt.Errorf("live: non-positive speed")
 	}
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
@@ -825,6 +836,8 @@ func (c *Cluster) AddServer(id int, speed float64) error {
 // delegate starts without divergent-tuning history, exactly the stateless
 // failover of §4.
 func (c *Cluster) Kill(id int) error {
+	c.reconfigMu.Lock()
+	defer c.reconfigMu.Unlock()
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()

@@ -54,10 +54,13 @@ func TestTaskQueueFIFOWithinVolume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Stop once volume a is drained: popping past the last queued task
+	// blocks, and equal-pass ties make either volume's last task the
+	// queue's last.
 	next := 0
-	for {
+	for next < 10 {
 		tk, ok := q.pop()
-		if !ok || next == 10 {
+		if !ok {
 			break
 		}
 		if tk.fileSet != "a/fs" {

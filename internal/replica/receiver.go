@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +14,12 @@ import (
 	"anufs/internal/sharedisk"
 	"anufs/internal/wire"
 )
+
+// maxShipPayload is the receiver's request frame limit. Snapshot ships
+// carry a full base64 store cut in one frame, so the bound is the journal
+// frame ceiling plus base64 and JSON overhead — above the daemons'
+// wire.MaxFramePayload, which is why the receiver sets its own.
+const maxShipPayload = 96 << 20
 
 // ErrPromoted is returned to ship requests that arrive after the standby
 // has promoted itself — the old primary must not keep replicating into a
@@ -284,23 +288,16 @@ func (r *Receiver) serveConn(conn net.Conn) {
 		r.mu.Unlock()
 		conn.Close()
 	}()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	// Snapshot ships carry a full base64 store cut in one frame; allow the
-	// same ceiling as a journal frame plus base64+JSON overhead.
-	sc.Buffer(make([]byte, 64<<10), 96<<20)
-	for sc.Scan() {
-		var req wire.Request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			r.counters.Add("replica_recv_bad_frames", 1)
-			continue
-		}
-		resp := r.handle(req)
-		resp.ID = req.ID
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
+	fs := &wire.FrameServer{
+		Handle: func(req wire.Request) wire.Response {
+			resp := r.handle(req)
+			resp.ID = req.ID
+			return resp
+		},
+		OnBadFrame: func() { r.counters.Add("replica_recv_bad_frames", 1) },
+		MaxPayload: maxShipPayload,
 	}
+	fs.Serve(conn)
 }
 
 func (r *Receiver) handle(req wire.Request) wire.Response {

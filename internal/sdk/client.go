@@ -49,7 +49,7 @@ func NewClient(opts Options) (*Client, error) {
 		MapSources:    opts.Peers,
 		Budget:        opts.Budget,
 		Obs:           opts.Obs,
-		DialCaller:    dial,
+		Dial:          dial,
 	})
 	if err != nil {
 		return nil, err

@@ -11,8 +11,8 @@ import (
 	"anufs/internal/wire"
 )
 
-// Against a current server, Dial upgrades to the tagged protocol and many
-// concurrent calls share one connection.
+// Dial upgrades to the tagged protocol and many concurrent calls share one
+// connection.
 func TestDialUpgradesAndPipelines(t *testing.T) {
 	f := startFleet(t, 1)
 	c, err := Dial(f.daemons[0].addr, Options{Timeout: 5 * time.Second})
@@ -20,9 +20,6 @@ func TestDialUpgradesAndPipelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Tagged() {
-		t.Fatal("connection did not upgrade to the tagged protocol")
-	}
 	if _, err := f.auth.Assign("fs00", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -68,23 +65,6 @@ func TestDialUpgradesAndPipelines(t *testing.T) {
 	}
 }
 
-// Against an old server that rejects OpHello, Dial transparently degrades
-// to a line-mode client with the same API.
-func TestDialFallsBackToLineMode(t *testing.T) {
-	addr := startLineOnlyServer(t)
-	c, err := Dial(addr, Options{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Tagged() {
-		t.Fatal("connection claims tagged against a line-only server")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("line-mode fallback ping: %v", err)
-	}
-}
-
 // A call whose response never arrives times out with the standard wire
 // timeout message (the router treats it as transient).
 func TestConnCallTimesOut(t *testing.T) {
@@ -94,9 +74,6 @@ func TestConnCallTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Tagged() {
-		t.Fatal("silent stub did not upgrade")
-	}
 	_, err = c.Call(wire.Request{Op: wire.OpPing})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v, want a timeout", err)
@@ -128,8 +105,8 @@ func TestConnCloseFailsPending(t *testing.T) {
 	}
 }
 
-// A server-side error string comes back as the same typed errors the
-// line-mode client produces — the router's vocabulary is shared.
+// A server-side error string comes back as a typed error through
+// wire.ResponseError — the router's vocabulary.
 func TestConnErrorVocabulary(t *testing.T) {
 	f := startFleet(t, 1)
 	c, err := Dial(f.daemons[0].addr, Options{Timeout: 5 * time.Second})

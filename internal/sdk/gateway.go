@@ -52,9 +52,9 @@ type GatewayConfig struct {
 // session-mapped so plain wire clients see one logical server. Statelessness
 // is what makes the tier horizontally scalable — any gateway can serve any
 // client, and the only cross-gateway state (the cluster map) is a cache
-// that peers share and epochs invalidate. Client connections may upgrade
+// that peers share and epochs invalidate. wire.Client connections upgrade
 // to the tagged protocol (wire.FrameServer handles the hello), so the
-// pipelining extends end to end.
+// pipelining extends end to end; line mode stays open for netcat.
 //
 // The exception to statelessness is lock sessions: a session minted here
 // maps lazily to per-daemon sessions, which pins a lock holder to the
@@ -133,7 +133,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		MapSources:    cfg.Peers,
 		Budget:        cfg.Budget,
 		Obs:           cfg.Obs,
-		DialCaller:    dial,
+		Dial:          dial,
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 )
 
 // TestGatewayRoutesOps is the routed-op integration test: one plain
-// line-mode wire.Client against a gateway exercises the full op surface —
+// wire.Client against a gateway exercises the full op surface —
 // file-set data ops, mounts, global-path resolution, and lock sessions —
 // across a 3-daemon fleet, without ever learning the cluster map.
 func TestGatewayRoutesOps(t *testing.T) {
@@ -114,9 +114,6 @@ func TestGatewayRoutesOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	if !tc.Tagged() {
-		t.Fatal("gateway did not accept the tagged upgrade")
-	}
 	resp, err := tc.Call(wire.Request{Op: wire.OpStat, FileSet: "vol02", Path: "/a"})
 	if err != nil || resp.Record == nil || resp.Record.Size != 3 {
 		t.Fatalf("tagged stat via gateway = %+v, %v", resp, err)

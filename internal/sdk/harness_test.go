@@ -132,45 +132,6 @@ func startGateway(t testing.TB, f *testFleet, peers ...string) (*Gateway, string
 	return gw, ln.Addr().String()
 }
 
-// startLineOnlyServer is a pre-tagged-protocol server stand-in: it speaks
-// only the line protocol and answers OpHello the way an old daemon would —
-// with an error. Every other request gets an empty OK response.
-func startLineOnlyServer(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := json.NewDecoder(bufio.NewReader(conn))
-				enc := json.NewEncoder(conn)
-				for {
-					var req wire.Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := wire.Response{ID: req.ID}
-					if req.Op == wire.OpHello {
-						resp.Err = `wire: unknown op "hello"`
-					}
-					if enc.Encode(resp) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
 // startSilentTaggedServer accepts the hello upgrade and then swallows
 // every frame — for timeout and close-with-pending tests.
 func startSilentTaggedServer(t testing.TB) string {

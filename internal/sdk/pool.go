@@ -261,7 +261,7 @@ func (p *Pool) Call(req wire.Request) (wire.Response, error) {
 	if err != nil {
 		// Only connection-level failures poison the slot; wire.ErrTimedOut
 		// does not — a slow server is not a dead socket.
-		if errors.Is(err, errConnClosed) || errors.Is(err, wire.ErrConnClosed) || errors.Is(err, wire.ErrSendFailed) {
+		if errors.Is(err, wire.ErrConnClosed) || errors.Is(err, wire.ErrSendFailed) {
 			p.discard(c)
 		}
 	}

@@ -8,10 +8,9 @@
 // The layering mirrors the paper's client/server split: clients talk to
 // whichever daemon owns a file set (internal/fleet routes by the cluster
 // map) and the sdk makes that path saturate heterogeneous daemons instead
-// of serializing on one round trip at a time. Every connection starts in
-// the plain line protocol and upgrades via OpHello, so an sdk client
-// against an old server — or an old client against a new server — keeps
-// working unchanged, just without pipelining.
+// of serializing on one round trip at a time. The connections are plain
+// wire.Clients (tagged frames negotiated by OpHello at dial); the sdk adds
+// no transport of its own.
 //
 // Gateway (gateway.go) is the same machinery turned server-side: a
 // stateless wire endpoint that fronts the fleet, scaled horizontally by

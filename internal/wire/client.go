@@ -17,20 +17,28 @@ import (
 	"anufs/internal/volume"
 )
 
-// Client is a connection to a wire server. It multiplexes concurrent
-// requests over one TCP connection, correlating responses by ID. Safe for
-// concurrent use.
+// Client is a pipelined connection to a wire server — the one request/
+// response transport of the tree. Dial negotiates the tagged protocol with
+// an OpHello, and from then on many concurrent calls share the connection
+// as tagged frames and complete out of order, each correlated by its tag.
+// Safe for concurrent use.
 type Client struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
+	bw      *bufio.Writer
+	fw      *FrameWriter
+	encBuf  []byte // reused request encode buffer, guarded by writeMu
 
 	mu      sync.Mutex
-	nextID  uint64
+	nextTag uint64
 	pending map[uint64]chan Response
 	err     error
 	done    chan struct{}
+
+	inflight atomic.Int64
+	// depth, when set (ObserveDepth), records each call's pipeline depth.
+	depth atomic.Pointer[obs.Histogram]
 
 	// lastTrace remembers the most recent server-echoed trace ID, so a
 	// caller can fetch the span timeline of the call it just made.
@@ -43,7 +51,7 @@ type Client struct {
 
 // DefaultCallTimeout bounds how long a call waits for its response when
 // SetTimeout has not been called — a hung or wedged server must not block
-// every caller forever.
+// every caller forever. It also bounds Dial's hello exchange.
 const DefaultCallTimeout = 5 * time.Second
 
 // SetTimeout overrides the per-call response deadline: 0 restores
@@ -53,45 +61,91 @@ const DefaultCallTimeout = 5 * time.Second
 // started after it.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
-// Dial connects to a wire server.
+// ObserveDepth makes every later call record the connection's pipeline
+// depth (in-flight calls, itself included) into h; nil stops recording.
+// Histogram buckets read as request counts, not seconds.
+func (c *Client) ObserveDepth(h *obs.Histogram) { c.depth.Store(h) }
+
+// Dial connects to a wire server and negotiates the tagged protocol. The
+// hello exchange is bounded by DefaultCallTimeout.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	return dial(addr, 0)
+}
+
+// DialTimeout connects to a wire server with a bound on the TCP connect,
+// the hello exchange, and, as the initial per-call deadline, every call
+// (override with SetTimeout). Control-plane paths that must stay
+// responsive with a dead peer in the fleet — map publishes, membership
+// heartbeats, failure-time takeovers — dial this way: a blackholed or
+// mute address costs about d, not the OS connect timeout. The client is
+// born with its deadline armed, which is what the wireops deadline rule
+// checks for.
+func DialTimeout(addr string, d time.Duration) (*Client, error) {
+	c, err := dial(addr, d)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		nextID:  1,
-		pending: map[uint64]chan Response{},
-		done:    make(chan struct{}),
-	}
-	go c.readLoop()
+	c.SetTimeout(d)
 	return c, nil
 }
 
-// DialTimeout connects to a wire server with a bound on BOTH the TCP
-// connect and, as the initial per-call deadline, every call (override with
-// SetTimeout). Control-plane paths that must stay responsive with a dead
-// peer in the fleet — map publishes, membership heartbeats, failure-time
-// takeovers — dial this way: a blackholed address costs d, not the OS
-// connect timeout. The client is born with its deadline armed, which is
-// what the wireops deadline rule checks for.
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, d)
+// dial connects (d bounds the connect; 0 leaves it to the OS), sends the
+// hello as the connection's first line, and switches to frames once the
+// server grants the tagged protocol.
+func dial(addr string, d time.Duration) (*Client, error) {
+	nc, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
 		return nil, err
 	}
+	helloBy := d
+	if helloBy <= 0 {
+		helloBy = DefaultCallTimeout
+	}
+	_ = nc.SetDeadline(time.Now().Add(helloBy))
+	br := bufio.NewReader(nc)
+	if err := hello(nc, br); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	_ = nc.SetDeadline(time.Time{})
 	c := &Client{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		nextID:  1,
+		conn:    nc,
+		bw:      bufio.NewWriter(nc),
 		pending: map[uint64]chan Response{},
 		done:    make(chan struct{}),
 	}
-	c.SetTimeout(d)
-	go c.readLoop()
+	c.fw = NewFrameWriter(c.bw)
+	c.fw.max = maxSendPayload
+	go c.readLoop(br)
 	return c, nil
+}
+
+// hello runs the line-mode upgrade exchange on a fresh connection.
+func hello(nc net.Conn, br *bufio.Reader) error {
+	req := HelloRequest()
+	req.ID = 1
+	line, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	if _, err := nc.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("wire: hello: %w", err)
+	}
+	reply, err := readLine(br)
+	if err != nil {
+		return fmt.Errorf("wire: hello reply: %w", err)
+	}
+	var resp Response
+	if err := json.Unmarshal(reply, &resp); err != nil {
+		return fmt.Errorf("wire: hello reply: %w", err)
+	}
+	if resp.Err != "" {
+		return fmt.Errorf("wire: hello refused: %s", resp.Err)
+	}
+	if resp.Proto != TaggedProtoV1 {
+		return fmt.Errorf("wire: hello answered protocol %d, want %d", resp.Proto, TaggedProtoV1)
+	}
+	return nil
 }
 
 // Close tears the connection down; in-flight calls fail.
@@ -101,52 +155,101 @@ func (c *Client) Close() error {
 	return err
 }
 
-func (c *Client) readLoop() {
+// InFlight returns the number of calls currently awaiting responses — the
+// load signal connection pools compare.
+func (c *Client) InFlight() int64 { return c.inflight.Load() }
+
+// readLoop decodes response frames and completes the pending calls.
+func (c *Client) readLoop(br *bufio.Reader) {
 	defer close(c.done)
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			continue // skip garbage frames; the call times out with conn close
+	fr := NewFrameReader(br)
+	var dec Decoder
+	var resp Response // reused across frames for the fast decoder's string reuse
+	for {
+		kind, tag, payload, err := fr.ReadFrame()
+		if err != nil || kind != FrameResponse {
+			break // connection gone, or framing no longer trustworthy
+		}
+		fast := dec.DecodeResponse(payload, &resp)
+		if !fast {
+			resp = Response{}
+			if err := json.Unmarshal(payload, &resp); err != nil {
+				continue // intact framing, broken payload: let the call time out
+			}
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		ch, ok := c.pending[tag]
+		delete(c.pending, tag)
 		c.mu.Unlock()
 		if ok {
-			ch <- resp
+			delivered := resp
+			if fast && delivered.Record != nil {
+				// The fast decoder's Record points into its scratch, which
+				// the next frame overwrites; the waiter gets its own copy.
+				rec := *delivered.Record
+				delivered.Record = &rec
+			}
+			ch <- delivered
 		}
 	}
 	// Connection gone: fail everything pending.
 	c.mu.Lock()
 	c.err = ErrConnClosed
-	for id, ch := range c.pending {
-		ch <- Response{ID: id, Err: c.err.Error()}
-		delete(c.pending, id)
+	for tag, ch := range c.pending {
+		ch <- Response{ID: tag, Err: c.err.Error()}
+		delete(c.pending, tag)
 	}
 	c.mu.Unlock()
 }
 
-// call sends a request and waits for its response.
+// sendRequest encodes and writes one request frame under the write lock,
+// reusing the connection's encode buffer; requests the fast encoder
+// cannot represent fall back to encoding/json. The flush per frame keeps
+// latency flat at low depth; at high depth the kernel coalesces the
+// small writes anyway.
+//
+//anufs:hotpath
+func (c *Client) sendRequest(tag uint64, req *Request) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	payload, ok := AppendRequest(c.encBuf[:0], req)
+	if ok {
+		c.encBuf = payload
+	} else {
+		var err error
+		if payload, err = json.Marshal(req); err != nil {
+			return err
+		}
+	}
+	if err := c.fw.WriteFrame(FrameRequest, tag, payload); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// call sends a request and waits for its response; concurrent calls share
+// the connection and complete independently.
 func (c *Client) call(req Request) (Response, error) {
+	n := c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if h := c.depth.Load(); h != nil {
+		h.Observe(time.Duration(n))
+	}
 	ch := make(chan Response, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
 		return Response{}, c.err
 	}
-	req.ID = c.nextID
-	c.nextID++
-	c.pending[req.ID] = ch
+	c.nextTag++
+	tag := c.nextTag
+	req.ID = tag
+	c.pending[tag] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := c.enc.Encode(req)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := c.sendRequest(tag, &req); err != nil {
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		delete(c.pending, tag)
 		c.mu.Unlock()
 		return Response{}, fmt.Errorf("%w: %w", ErrSendFailed, err)
 	}
@@ -165,9 +268,9 @@ func (c *Client) call(req Request) (Response, error) {
 		case <-timer.C:
 			// Abandon the call: readLoop's send into the (buffered) channel
 			// cannot block, and deleting the pending entry keeps the map from
-			// accumulating abandoned IDs.
+			// accumulating abandoned tags.
 			c.mu.Lock()
-			delete(c.pending, req.ID)
+			delete(c.pending, tag)
 			c.mu.Unlock()
 			return Response{}, fmt.Errorf("wire: %s call %w after %v", req.Op, ErrTimedOut, d)
 		}
@@ -181,11 +284,10 @@ func (c *Client) call(req Request) (Response, error) {
 // ResponseError maps a server-reported error string back to the typed
 // error vocabulary: wrong-owner and arriving rejections cross the wire as
 // strings and are rebuilt here (carrying Response.Epoch), so callers can
-// switch on them without string matching. Every client that decodes raw
-// responses — wire.Client, the sdk's pipelined connections — shares this
-// mapping, which is what keeps the fleet router's retry discipline
-// working no matter which transport carried the frame. Nil when the
-// response carries no error.
+// switch on them without string matching. Client applies it to every
+// response, and forwarders that relay raw responses share it, which is
+// what keeps the fleet router's retry discipline working no matter which
+// hop carried the frame. Nil when the response carries no error.
 func ResponseError(resp Response) error {
 	if resp.Err == "" {
 		return nil
@@ -209,7 +311,7 @@ func ResponseError(resp Response) error {
 	return errors.New(resp.Err)
 }
 
-// Call sends a raw request (the ID is assigned by the client) and returns
+// Call sends a raw request (the tag is assigned by the client) and returns
 // the raw response — the pass-through the fleet gateway uses to forward
 // frames without enumerating every op. The response is returned even when
 // err is non-nil, so forwarders can relay server-side error strings.

@@ -15,11 +15,15 @@ import (
 // demultiplexes frames — each request runs on its own goroutine and its
 // response carries the request's tag, so completions are out of order.
 //
-// It is the protocol loop shared by wire.Server and the sdk gateway:
-// Handle is the only required hook and is called concurrently.
+// It is the protocol loop shared by wire.Server, the sdk gateway, and the
+// replica receiver: Handle is the only required hook and is called
+// concurrently.
 type FrameServer struct {
 	// Handle serves one decoded request; called concurrently.
 	Handle func(Request) Response
+	// MaxPayload bounds one request frame's payload (0 = MaxFramePayload).
+	// A larger frame drops the connection.
+	MaxPayload int
 	// OnBadFrame, if set, is called once per undecodable frame (accounting).
 	OnBadFrame func()
 	// OnInflight, if set, observes admissions (+1) and completions (-1) —
@@ -27,14 +31,15 @@ type FrameServer struct {
 	OnInflight func(delta int64)
 }
 
-// Line-mode limits, matching the client reader: lines above maxLineBytes
-// lose framing and drop the connection.
+// Line-mode limits: lines above maxLineBytes lose framing and drop the
+// connection. Line mode is the netcat door and carries the hello, so its
+// bound stays small whatever the server's frame limit.
 const (
 	lineBufBytes = 64 << 10
 	maxLineBytes = 1 << 20
 )
 
-var errLineTooLong = errors.New("wire: request line exceeds 1MiB")
+var errLineTooLong = errors.New("wire: line exceeds 1MiB")
 
 // Serve reads the connection until it closes, first in line mode and —
 // after a successful hello — in tagged mode. It blocks until every
@@ -107,7 +112,7 @@ func (f *FrameServer) Serve(conn net.Conn) {
 func (f *FrameServer) serveTagged(conn net.Conn, br *bufio.Reader, reqWG *sync.WaitGroup) {
 	var writeMu sync.Mutex
 	var encBuf []byte // reused response encode buffer, guarded by writeMu
-	bw := bufio.NewWriterSize(conn, lineBufBytes)
+	bw := bufio.NewWriter(conn)
 	fw := NewFrameWriter(bw)
 	sendTagged := func(tag uint64, resp Response) {
 		writeMu.Lock()
@@ -127,6 +132,7 @@ func (f *FrameServer) serveTagged(conn net.Conn, br *bufio.Reader, reqWG *sync.W
 		}
 	}
 	fr := NewFrameReader(br)
+	fr.max = f.MaxPayload
 	var dec Decoder
 	var req Request // reused across frames so the fast decoder can reuse its strings
 	for {
@@ -181,7 +187,8 @@ func (f *FrameServer) inflight(d int64) {
 }
 
 // readLine reads one newline-terminated line with a hard size cap, so a
-// client cannot make the server buffer an unbounded line.
+// peer cannot make us buffer an unbounded line (the server's requests,
+// the client's hello reply).
 func readLine(br *bufio.Reader) ([]byte, error) {
 	var line []byte
 	for {

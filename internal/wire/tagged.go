@@ -5,14 +5,12 @@ import (
 	"io"
 )
 
-// This file is the tagged-frame protocol extension: a binary framing that
-// lets one connection carry many in-flight requests with out-of-order
-// completion. The line protocol stays the wire's lingua franca — every
-// connection starts in line mode, and a client that wants pipelining sends
-// an OpHello first (HelloRequest). A server that understands it answers
-// with Response.Proto = TaggedProtoV1 and both ends switch to frames; an
-// old server answers "unknown op" and the client stays in line mode, so
-// old clients and old servers interoperate with new ones unchanged.
+// This file is the tagged-frame protocol: a binary framing that lets one
+// connection carry many in-flight requests with out-of-order completion.
+// Every connection starts in line mode (one JSON request per line — the
+// netcat door), and Client sends an OpHello first (HelloRequest). The
+// server answers with Response.Proto = TaggedProtoV1 and both ends switch
+// to frames; a peer that refuses the hello fails the dial.
 //
 // Frame layout (all integers big-endian):
 //
@@ -41,10 +39,17 @@ const (
 // FrameHeaderSize is the fixed header length preceding every payload.
 const FrameHeaderSize = 16
 
-// MaxFramePayload caps one frame's payload — larger than any legitimate
-// request (snapshot ships stay on line mode today), small enough that a
-// hostile length field cannot make the server allocate gigabytes.
+// MaxFramePayload is the default cap on one frame's payload — larger than
+// any legitimate request a daemon or gateway serves, small enough that a
+// hostile length field cannot make a reader allocate gigabytes. A server
+// whose requests are legitimately bigger (a standby receiving snapshot
+// ships) raises its own reader's bound via FrameServer.MaxPayload.
 const MaxFramePayload = 16 << 20
+
+// maxSendPayload bounds what a Client will send: the receiving server's
+// reader enforces the real limit, so the sender only refuses what the
+// 32-bit length field could not describe portably.
+const maxSendPayload = 1<<31 - 1
 
 const (
 	frameMagic0 = 'a'
@@ -55,17 +60,17 @@ const (
 // hot path and the caller drops the connection on any of them anyway.
 var (
 	ErrBadFrameHeader = errors.New("wire: bad frame header")
-	ErrFrameTooLarge  = errors.New("wire: frame payload exceeds MaxFramePayload")
+	ErrFrameTooLarge  = errors.New("wire: frame payload exceeds the frame limit")
 	ErrBadFrameKind   = errors.New("wire: unknown frame kind")
 )
 
 // HelloRequest is the line-mode request a client sends first on a
 // connection to negotiate the tagged protocol. The server answers with
 // Response.Proto = TaggedProtoV1 on success; any error response means the
-// peer does not speak frames and the connection stays in line mode. The
-// request offers this build's capability bits (trace context, ...); the
-// server grants the intersection in Response.Caps — an old server leaves
-// it zero and everything it implies simply stays off.
+// peer does not speak frames. The request offers this build's capability
+// bits (trace context, ...); the server grants the intersection in
+// Response.Caps — an old server leaves it zero and everything it implies
+// simply stays off.
 func HelloRequest() Request {
 	return Request{Op: OpHello, Proto: TaggedProtoV1, Caps: SupportedCaps}
 }
@@ -95,11 +100,20 @@ func PutFrameHeader(dst []byte, kind byte, tag uint64, n int) {
 }
 
 // ParseFrameHeader decodes a frame header: kind, tag, and payload length.
-// It rejects bad magic or version, unknown kinds, and oversized lengths —
-// the caller must drop the connection on error, since framing is lost.
+// It rejects bad magic or version, unknown kinds, and lengths above
+// MaxFramePayload — the caller must drop the connection on error, since
+// framing is lost.
 //
 //anufs:hotpath
 func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
+	return parseFrameHeader(hdr, MaxFramePayload)
+}
+
+// parseFrameHeader is ParseFrameHeader with the payload bound as a
+// parameter.
+//
+//anufs:hotpath
+func parseFrameHeader(hdr []byte, max int) (kind byte, tag uint64, n int, err error) {
 	if len(hdr) < FrameHeaderSize {
 		return 0, 0, 0, ErrBadFrameHeader
 	}
@@ -111,7 +125,7 @@ func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
 		return 0, 0, 0, ErrBadFrameKind
 	}
 	n = int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	if n > MaxFramePayload {
+	if n > max {
 		return 0, 0, 0, ErrFrameTooLarge
 	}
 	tag = uint64(hdr[8])<<56 | uint64(hdr[9])<<48 | uint64(hdr[10])<<40 | uint64(hdr[11])<<32 |
@@ -124,6 +138,7 @@ func ParseFrameHeader(hdr []byte) (kind byte, tag uint64, n int, err error) {
 type FrameWriter struct {
 	w   io.Writer
 	hdr [FrameHeaderSize]byte
+	max int // payload bound; 0 = MaxFramePayload
 }
 
 // NewFrameWriter wraps w (typically a *bufio.Writer the caller flushes).
@@ -136,7 +151,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 //
 //anufs:hotpath
 func (fw *FrameWriter) WriteFrame(kind byte, tag uint64, payload []byte) error {
-	if len(payload) > MaxFramePayload {
+	if len(payload) > boundOr(fw.max) {
 		return ErrFrameTooLarge
 	}
 	PutFrameHeader(fw.hdr[:], kind, tag, len(payload))
@@ -153,6 +168,7 @@ type FrameReader struct {
 	r   io.Reader
 	hdr [FrameHeaderSize]byte
 	buf []byte
+	max int // payload bound; 0 = MaxFramePayload
 }
 
 // NewFrameReader wraps r (typically a *bufio.Reader).
@@ -169,7 +185,7 @@ func (fr *FrameReader) ReadFrame() (kind byte, tag uint64, payload []byte, err e
 	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	kind, tag, n, err := ParseFrameHeader(fr.hdr[:])
+	kind, tag, n, err := parseFrameHeader(fr.hdr[:], boundOr(fr.max))
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -181,6 +197,16 @@ func (fr *FrameReader) ReadFrame() (kind byte, tag uint64, payload []byte, err e
 		return 0, 0, nil, err
 	}
 	return kind, tag, payload, nil
+}
+
+// boundOr returns max, or MaxFramePayload when max is unset.
+//
+//anufs:hotpath
+func boundOr(max int) int {
+	if max > 0 {
+		return max
+	}
+	return MaxFramePayload
 }
 
 // grow replaces the payload buffer. Off the hot path by design: steady

@@ -191,6 +191,32 @@ func TestHelloUpgradeAndPipelining(t *testing.T) {
 	}
 }
 
+// TestServerRefusesOversizedFrame: a daemon keeps the default
+// MaxFramePayload bound. A request frame above it drops that connection
+// (counted as a bad frame) without reaching a handler, and the server
+// keeps serving new connections.
+func TestServerRefusesOversizedFrame(t *testing.T) {
+	c, addr := startTaggedServer(t, 1)
+	big, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	big.SetTimeout(30 * time.Second)
+	snap := make([]byte, MaxFramePayload) // base64 + JSON push the frame past the bound
+	_, err = big.ShipSnapshot(1, snap)
+	if !errors.Is(err, ErrConnClosed) && !errors.Is(err, ErrSendFailed) {
+		t.Fatalf("oversized frame err = %v, want the connection dropped", err)
+	}
+	ws, _, err := c.WireStats()
+	if err != nil {
+		t.Fatalf("server stopped serving after an oversized frame: %v", err)
+	}
+	if ws[CtrBadFrames] < 1 {
+		t.Fatalf("oversized frame not counted as bad: %v", ws)
+	}
+}
+
 func TestHelloMustBeFirst(t *testing.T) {
 	c, addr := startTaggedServer(t, 1)
 	c.Close()
@@ -357,9 +383,10 @@ func TestPingOp(t *testing.T) {
 	}
 }
 
-// TestTaggedConcurrentClients hammers the upgraded path with the race
-// detector: several goroutines share one tagged connection's server side
-// through separate connections while a line-mode client works alongside.
+// TestTaggedAndLineClientsCoexist hammers the upgraded path with the race
+// detector: raw tagged connections and the typed Client share the server
+// while a line-mode peer (a raw JSON connection — the netcat door) works
+// alongside.
 func TestTaggedAndLineClientsCoexist(t *testing.T) {
 	c, addr := startTaggedServer(t, 1)
 	var wg sync.WaitGroup
@@ -385,9 +412,37 @@ func TestTaggedAndLineClientsCoexist(t *testing.T) {
 			}
 		}(g)
 	}
-	for i := 0; i < 20; i++ {
-		if err := c.Ping(); err != nil {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if err := c.Ping(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	line, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer line.Close()
+	enc := json.NewEncoder(line)
+	br := bufio.NewReader(line)
+	for i := 1; i <= 20; i++ {
+		if err := enc.Encode(Request{ID: uint64(i), Op: OpPing}); err != nil {
 			t.Fatal(err)
+		}
+		reply, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := json.Unmarshal(reply, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != "" || resp.ID != uint64(i) {
+			t.Fatalf("line ping %d = %+v", i, resp)
 		}
 	}
 	wg.Wait()

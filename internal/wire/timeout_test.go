@@ -1,31 +1,94 @@
 package wire
 
 import (
+	"bufio"
+	"encoding/json"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestCallTimesOutOnStalledServer is the regression test for per-call
-// deadlines: a listener that accepts and then never responds used to block
-// every caller forever; now the call fails after Client.SetTimeout.
-func TestCallTimesOutOnStalledServer(t *testing.T) {
+// startMuteListener accepts connections and answers nothing at all — not
+// even the hello. Accepted connections are held open until the test ends.
+func startMuteListener(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
 		}
-		accepted <- conn // hold the conn open, read nothing, answer nothing
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
 	}()
+	return ln.Addr().String()
+}
 
-	c, err := Dial(ln.Addr().String())
+// startStalledServer grants the tagged upgrade and then reads frames
+// without ever answering one.
+func startStalledServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					return
+				}
+				var req Request
+				if json.Unmarshal(line, &req) != nil || req.Op != OpHello {
+					return
+				}
+				if json.NewEncoder(conn).Encode(Response{ID: req.ID, Proto: TaggedProtoV1}) != nil {
+					return
+				}
+				fr := NewFrameReader(br)
+				for {
+					if _, _, _, err := fr.ReadFrame(); err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCallTimesOutOnStalledServer is the regression test for per-call
+// deadlines: a server that accepts the hello and then never responds used
+// to block every caller forever; now the call fails after
+// Client.SetTimeout.
+func TestCallTimesOutOnStalledServer(t *testing.T) {
+	c, err := Dial(startStalledServer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +117,24 @@ func TestCallTimesOutOnStalledServer(t *testing.T) {
 	if _, err := c.Stat("vol00", "/b"); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("second call err = %v", err)
 	}
-	select {
-	case conn := <-accepted:
-		conn.Close()
-	default:
+}
+
+// TestDialTimeoutBoundsHello: a peer that accepts TCP but never answers
+// the hello costs DialTimeout's d, not DefaultCallTimeout or forever.
+func TestDialTimeoutBoundsHello(t *testing.T) {
+	addr := startMuteListener(t)
+	const d = 100 * time.Millisecond
+	start := time.Now()
+	c, err := DialTimeout(addr, d)
+	if err == nil {
+		c.Close()
+		t.Fatal("dial against a mute peer succeeded")
+	}
+	if !TransientError(err) {
+		t.Fatalf("err = %v, want a transient (timeout) error", err)
+	}
+	if took := time.Since(start); took > d+time.Second {
+		t.Fatalf("dial took %v, want ~%v", took, d)
 	}
 }
 

@@ -29,7 +29,7 @@ var (
 // sanctioned fallback; everything the current tree produces locally is
 // typed and never reaches this list.
 var transientFragments = []string{
-	"connection closed", // wire + sdk conn teardown
+	"connection closed", // wire.ErrConnClosed relayed as text
 	"timed out",         // call deadlines, net dial timeouts
 	"wire: send:",       // mid-request write failures
 	"connection refused",
